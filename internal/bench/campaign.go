@@ -85,10 +85,11 @@ func (c ResilienceConfig) machineConfig() machine.Config {
 // CampaignResult reports one workload run under a fault campaign.
 type CampaignResult struct {
 	Workload  string
-	Completed bool  // the workload reached its normal end
-	Err       error // the surfaced error otherwise (watchdog, fatal, budget)
-	Cycles    int64 // machine cycles consumed
-	Value     int64 // workload metric: ping RTT or cycles/barrier
+	Completed bool   // the workload reached its normal end
+	Err       error  // the surfaced error otherwise (watchdog, fatal, budget)
+	Cycles    int64  // machine cycles consumed
+	Value     int64  // workload metric: ping RTT or cycles/barrier
+	Instrs    uint64 // instructions retired across all nodes
 
 	Net           network.Stats
 	WatchdogTrips uint64
@@ -154,6 +155,7 @@ func collect(name string, m *machine.Machine, rel *rt.Reliable, inj *chaos.Injec
 		Err:           runErr,
 		Cycles:        m.Cycle(),
 		Value:         value,
+		Instrs:        m.Stats.Instrs(),
 		Net:           m.Net.Stats(),
 		WatchdogTrips: m.WatchdogTrips,
 		ChaosReport:   inj.Report(),
