@@ -94,6 +94,7 @@ var paritySpecs = map[string]paritySpec{
 		serialized: []string{"in", "outOwner", "inRoute", "linkStamp", "occ"},
 		derived: []string{
 			"x", "y", "z", // topology
+			"inMask",                 // rebuilt from n on restore
 			"pushStamp", "pushedNew", // within-cycle scratch, dead between cycles
 		},
 	},

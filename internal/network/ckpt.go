@@ -114,7 +114,8 @@ func (n *Network) collectMessages() (table []*Message, index map[*Message]int) {
 // and link stamps, every outbox, the round-robin offsets, the
 // incremental in-flight counters, and the accumulated stats.
 // Within-cycle scratch (pushStamp/pushedNew, snapOcc) is dead between
-// cycles and deliberately excluded, matching StateDigest.
+// cycles and deliberately excluded, matching StateDigest; the
+// occupied-port mask is rebuilt from the buffer counts on restore.
 func (n *Network) SaveState(e *wire.Encoder) {
 	e.Int(len(n.routers))
 	e.I64(n.cycle)
@@ -222,6 +223,7 @@ func (n *Network) RestoreState(d *wire.Decoder) error {
 	for ri := range n.routers {
 		r := &n.routers[ri]
 		r.occ = d.I32()
+		r.inMask = [2]uint8{}
 		for v := 0; v < 2; v++ {
 			for q := 0; q < NumPorts; q++ {
 				r.outOwner[v][q] = int8(d.U8())
@@ -244,6 +246,9 @@ func (n *Network) RestoreState(d *wire.Decoder) error {
 				}
 				for i := cnt; i < bufCap; i++ {
 					b.slots[i] = phitRef{}
+				}
+				if cnt > 0 {
+					r.inMask[v] |= 1 << q
 				}
 			}
 		}

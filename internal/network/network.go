@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -470,92 +471,108 @@ func (n *Network) stepRange(lo, hi, v int, cyc int64, ctx stepCtx) {
 	}
 }
 
-// stepRouter attempts to advance the head phit of each input buffer at
-// priority v.
+// stepRouter attempts to advance the head phit of each occupied input
+// buffer at priority v, visiting only the ports set in inMask. Fixed
+// priority visits them in ascending port order; round robin rotates
+// the mask so that bit k stands for port (start+k) mod NumPorts, which
+// is the order a full scan from start would visit. The mask is copied
+// before the scan: during the scan this router's buffers at priority v
+// can only be popped (neighbours push in their own steps, the local
+// outbox after this one), and a pop touches only the port being
+// visited, so the copy equals what a full scan would find non-empty.
 func (n *Network) stepRouter(ri int, r *router, v int, cyc int64, ctx stepCtx) {
+	mask := uint(r.inMask[v])
 	start := 0
 	if n.cfg.Arbitration == RoundRobin {
 		start = int(n.rr[ri]) % NumPorts
 		if v == 0 { // advance once per cycle, after both priority passes
 			n.rr[ri]++
 		}
+		mask = (mask>>start | mask<<(NumPorts-start)) & (1<<NumPorts - 1)
 	}
-	for k := 0; k < NumPorts; k++ {
-		q := (start + k) % NumPorts
-		b := &r.in[v][q]
-		if b.empty() {
-			continue
+	for mask != 0 {
+		q := start + bits.TrailingZeros(mask)
+		mask &= mask - 1
+		if q >= NumPorts {
+			q -= NumPorts
 		}
-		head := b.peek()
-		if head.arrived >= cyc {
-			continue // entered this cycle; moves next cycle at the earliest
+		n.stepPort(ri, r, v, q, cyc, ctx)
+	}
+}
+
+// stepPort attempts to advance the head phit of the non-empty input
+// buffer q at priority v: claim an output for a new worm, then move the
+// phit across a free link into the neighbour, or into delivery.
+func (n *Network) stepPort(ri int, r *router, v, q int, cyc int64, ctx stepCtx) {
+	head := r.in[v][q].peek()
+	if head.arrived >= cyc {
+		return // entered this cycle; moves next cycle at the earliest
+	}
+	out := r.inRoute[v][q]
+	if out == noPort {
+		out = r.route(head.m)
+		if r.outOwner[v][out] != noPort {
+			return // output channel held by another worm
 		}
-		out := r.inRoute[v][q]
-		if out == noPort {
-			out = r.route(head.m)
-			if r.outOwner[v][out] != noPort {
-				continue // output channel held by another worm
-			}
-			r.outOwner[v][out] = int8(q)
-			r.inRoute[v][q] = out
+		r.outOwner[v][out] = int8(q)
+		r.inRoute[v][q] = out
+	}
+	if r.linkStamp[out] == cyc {
+		return // physical channel already used this cycle
+	}
+	if n.stallFn != nil && n.stallFn(ri, int(out), cyc) {
+		ctx.st.StallsInjected++
+		return // injected link fault holds the channel
+	}
+	if out == PortLocal {
+		n.deliverPhit(ri, r, v, q, cyc, ctx)
+		return
+	}
+	nb := n.nbr[ri][out]
+	if nb < 0 {
+		// e-cube can never route off the mesh edge; treat as a
+		// wedged-worm bug rather than silently dropping traffic.
+		panic(fmt.Sprintf("network: route off mesh edge at node %d port %d", ri, out))
+	}
+	nr := &n.routers[nb]
+	np := opposite[out]
+	nbuf := &nr.in[v][np]
+	remote := ctx.sh != nil && (int(nb) < ctx.sh.lo || int(nb) >= ctx.sh.hi)
+	var occStart int
+	if remote {
+		// The consuming shard owns nbuf's n/popStamp; use the
+		// occupancy it snapshotted at the cycle start, which equals
+		// the reconstruction below.
+		occStart = int(nbuf.snapOcc)
+	} else {
+		occStart = int(nbuf.n)
+		if nbuf.popStamp == cyc {
+			occStart++
 		}
-		if r.linkStamp[out] == cyc {
-			continue // physical channel already used this cycle
-		}
-		if n.stallFn != nil && n.stallFn(ri, int(out), cyc) {
-			ctx.st.StallsInjected++
-			continue // injected link fault holds the channel
-		}
-		if out == PortLocal {
-			n.deliverPhit(ri, r, v, q, b, cyc, ctx)
-			continue
-		}
-		nb := n.nbr[ri][out]
-		if nb < 0 {
-			// e-cube can never route off the mesh edge; treat as a
-			// wedged-worm bug rather than silently dropping traffic.
-			panic(fmt.Sprintf("network: route off mesh edge at node %d port %d", ri, out))
-		}
-		nbuf := &n.routers[nb].in[v][opposite[out]]
-		remote := ctx.sh != nil && (int(nb) < ctx.sh.lo || int(nb) >= ctx.sh.hi)
-		var occStart int
-		if remote {
-			// The consuming shard owns nbuf's n/popStamp; use the
-			// occupancy it snapshotted at the cycle start, which equals
-			// the reconstruction below.
-			occStart = int(nbuf.snapOcc)
-		} else {
-			occStart = int(nbuf.n)
-			if nbuf.popStamp == cyc {
-				occStart++
-			}
-		}
-		if occStart >= bufCap {
-			continue // downstream buffer full at cycle start
-		}
-		p := b.pop()
-		b.popStamp = cyc
-		r.occ--
-		r.linkStamp[out] = cyc
-		p.arrived = cyc
-		if remote {
-			// Cross-shard boundary: stage the push; the commit phase
-			// applies it after every shard has finished stepping. The
-			// phit could not have moved again this cycle anyway.
-			ctx.sh.pushes = append(ctx.sh.pushes,
-				stagedPush{nb: nb, v: int8(v), port: int8(opposite[out]), p: p})
-		} else {
-			nbuf.push(p)
-			n.routers[nb].notePush(cyc)
-		}
-		ctx.st.PhitHops++
-		if (out == PortXP && r.x == n.midX-1) || (out == PortXM && r.x == n.midX) {
-			ctx.st.BisectionPhits++
-		}
-		if p.isTail() {
-			r.outOwner[v][out] = noPort
-			r.inRoute[v][q] = noPort
-		}
+	}
+	if occStart >= bufCap {
+		return // downstream buffer full at cycle start
+	}
+	p := r.popIn(v, q, cyc)
+	r.linkStamp[out] = cyc
+	p.arrived = cyc
+	if remote {
+		// Cross-shard boundary: stage the push; the commit phase
+		// applies it after every shard has finished stepping. The
+		// phit could not have moved again this cycle anyway.
+		ctx.sh.pushes = append(ctx.sh.pushes,
+			stagedPush{nb: nb, v: int8(v), port: int8(np), p: p})
+	} else {
+		nr.pushIn(v, np, p)
+		nr.notePush(cyc)
+	}
+	ctx.st.PhitHops++
+	if (out == PortXP && r.x == n.midX-1) || (out == PortXM && r.x == n.midX) {
+		ctx.st.BisectionPhits++
+	}
+	if p.isTail() {
+		r.outOwner[v][out] = noPort
+		r.inRoute[v][q] = noPort
 	}
 }
 
@@ -569,8 +586,8 @@ func (n *Network) stepRouter(ri int, r *router, v int, cyc int64, ctx stepCtx) {
 // drop duplicates; and with return-to-sender flow control a message that
 // would not fit in the destination queue is drained and turned around —
 // or dropped once it has been refused MaxReturns times.
-func (n *Network) deliverPhit(ri int, r *router, v, q int, b *buf, cyc int64, ctx stepCtx) {
-	head := b.peek()
+func (n *Network) deliverPhit(ri int, r *router, v, q int, cyc int64, ctx stepCtx) {
+	head := r.in[v][q].peek()
 	m := head.m
 	if head.idx == 0 && !m.absorb {
 		switch {
@@ -596,7 +613,7 @@ func (n *Network) deliverPhit(ri int, r *router, v, q int, b *buf, cyc int64, ct
 		}
 	}
 	if m.absorb {
-		n.absorbPhit(ri, r, v, q, b, cyc, ctx)
+		n.absorbPhit(ri, r, v, q, cyc, ctx)
 		return
 	}
 	w, complete := head.payloadWord()
@@ -609,9 +626,7 @@ func (n *Network) deliverPhit(ri int, r *router, v, q int, b *buf, cyc int64, ct
 			n.wakeFn(ri)
 		}
 	}
-	p := b.pop()
-	b.popStamp = cyc
-	r.occ--
+	p := r.popIn(v, q, cyc)
 	r.linkStamp[PortLocal] = cyc
 	*ctx.dPhits--
 	if complete {
@@ -642,10 +657,8 @@ func (n *Network) deliverPhit(ri int, r *router, v, q int, b *buf, cyc int64, ct
 // either discarded (drop set) or re-injected: back toward the source
 // (refusal) or toward its true destination after the backoff
 // (retransmission).
-func (n *Network) absorbPhit(ri int, r *router, v, q int, b *buf, cyc int64, ctx stepCtx) {
-	p := b.pop()
-	b.popStamp = cyc
-	r.occ--
+func (n *Network) absorbPhit(ri int, r *router, v, q int, cyc int64, ctx stepCtx) {
+	p := r.popIn(v, q, cyc)
 	r.linkStamp[PortLocal] = cyc
 	*ctx.dPhits--
 	if !p.isTail() {
@@ -719,7 +732,7 @@ func (n *Network) feedInjection(ri int, r *router, ob *outbox, v int, cyc int64,
 	if ob.phitIdx == 0 && cyc < m.EnqueueCycle+int64(n.cfg.LaunchCycles) {
 		return // network-interface launch latency
 	}
-	b.push(phitRef{m: m, idx: ob.phitIdx, arrived: cyc})
+	r.pushIn(v, PortLocal, phitRef{m: m, idx: ob.phitIdx, arrived: cyc})
 	r.notePush(cyc)
 	*ctx.dPhits++
 	ob.phitIdx++

@@ -262,30 +262,33 @@ func TestNodeAddressing(t *testing.T) {
 
 func TestRandomTrafficAllDelivered(t *testing.T) {
 	// Saturating random traffic: every injected message is delivered
-	// exactly once, in spite of contention and wormhole blocking.
-	n, qs := makeNet(t, 3, 3, 3, 4096)
-	r := rand.New(rand.NewSource(1))
-	const per = 20
-	sent := 0
-	for id := 0; id < n.Nodes(); id++ {
-		for k := 0; k < per; k++ {
-			m := msgTo(n, r.Intn(n.Nodes()), 0, 2+r.Intn(6))
-			n.Inject(id, m, 0)
-			sent++
+	// exactly once, in spite of contention and wormhole blocking, under
+	// either arbitration policy.
+	for _, arb := range []Arbitration{FixedPriority, RoundRobin} {
+		n, qs := makeNetCfg(t, Config{DimX: 3, DimY: 3, DimZ: 3, Arbitration: arb}, 4096)
+		r := rand.New(rand.NewSource(1))
+		const per = 20
+		sent := 0
+		for id := 0; id < n.Nodes(); id++ {
+			for k := 0; k < per; k++ {
+				m := msgTo(n, r.Intn(n.Nodes()), 0, 2+r.Intn(6))
+				n.Inject(id, m, 0)
+				sent++
+			}
 		}
-	}
-	for c := 0; c < 100000 && n.Pending(); c++ {
-		n.Step()
-	}
-	if n.Pending() {
-		t.Fatal("network did not drain")
-	}
-	var got uint64
-	for _, q := range qs {
-		got += q[0].Stats().Delivered
-	}
-	if got != uint64(sent) {
-		t.Fatalf("delivered %d of %d", got, sent)
+		for c := 0; c < 100000 && n.Pending(); c++ {
+			n.Step()
+		}
+		if n.Pending() {
+			t.Fatalf("arbitration %d: network did not drain", arb)
+		}
+		var got uint64
+		for _, q := range qs {
+			got += q[0].Stats().Delivered
+		}
+		if got != uint64(sent) {
+			t.Fatalf("arbitration %d: delivered %d of %d", arb, got, sent)
+		}
 	}
 }
 

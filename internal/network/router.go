@@ -43,8 +43,6 @@ type buf struct {
 	snapOcc int8
 }
 
-func (b *buf) empty() bool { return b.n == 0 }
-
 func (b *buf) push(p phitRef) {
 	b.slots[(int(b.head)+int(b.n))%bufCap] = p
 	b.n++
@@ -64,19 +62,22 @@ const noPort = int8(-1)
 // router is one node's wormhole router: per priority, an input buffer
 // per input port, ownership of each output port, and the output port
 // assigned to the worm currently flowing through each input.
+//
+// Field order is deliberate: the stepping skip check (occ, pushStamp,
+// pushedNew) and the occupied-port scan (inMask) read the leading
+// fields, which share a cache line; the 96-byte input buffers come
+// last and are touched only where a phit is actually buffered.
 type router struct {
 	x, y, z int8
 
-	in       [2][NumPorts]buf
-	outOwner [2][NumPorts]int8 // input port owning the output, or noPort
-	inRoute  [2][NumPorts]int8 // output port assigned to this input's worm
+	// inMask[v] has bit q set iff in[v][q] holds at least one phit.
+	// Maintained at every push and pop (pushIn/popIn), so the router
+	// step visits only occupied input ports.
+	inMask [2]uint8
 
-	// linkStamp[o] == current cycle when output o's physical channel has
-	// already carried a phit this cycle (shared across priorities).
-	linkStamp [NumPorts]int64
-
-	// occ counts phits buffered here plus pending local work; zero means
-	// the router can be skipped entirely this cycle.
+	// occ counts the phits buffered in this router's input buffers;
+	// zero means the router can be skipped entirely this cycle. Queued
+	// outbox messages are tracked separately (Network.actMsgs).
 	occ int32
 
 	// pushStamp/pushedNew track phits pushed into this router during the
@@ -87,8 +88,39 @@ type router struct {
 	// never changes which routers are stepped. The resulting effective
 	// occupancy, start-of-cycle phits minus this cycle's pops, is
 	// identical in both engines.
-	pushStamp int64
 	pushedNew int32
+	pushStamp int64
+
+	outOwner [2][NumPorts]int8 // input port owning the output, or noPort
+	inRoute  [2][NumPorts]int8 // output port assigned to this input's worm
+
+	// linkStamp[o] == current cycle when output o's physical channel has
+	// already carried a phit this cycle (shared across priorities).
+	linkStamp [NumPorts]int64
+
+	in [2][NumPorts]buf
+}
+
+// pushIn appends p to input buffer q at priority v. Pushes made
+// while the cycle is being stepped must also notePush; a commit-phase
+// push lands after stepping and is not counted as new.
+func (r *router) pushIn(v, q int, p phitRef) {
+	r.in[v][q].push(p)
+	r.inMask[v] |= 1 << q
+	r.occ++
+}
+
+// popIn removes the head phit of input q at priority v, stamping the
+// pop for start-of-cycle occupancy reconstruction.
+func (r *router) popIn(v, q int, cyc int64) phitRef {
+	b := &r.in[v][q]
+	p := b.pop()
+	b.popStamp = cyc
+	if b.n == 0 {
+		r.inMask[v] &^= 1 << q
+	}
+	r.occ--
+	return p
 }
 
 // notePush records a phit entering the router this cycle (it cannot
@@ -98,7 +130,6 @@ func (r *router) notePush(cyc int64) {
 		r.pushStamp, r.pushedNew = cyc, 0
 	}
 	r.pushedNew++
-	r.occ++
 }
 
 // effOcc returns the router's phit occupancy excluding phits that

@@ -212,8 +212,7 @@ func (sr *ShardRun) Commit() {
 	for i := range sr.shards {
 		sh := &sr.shards[i]
 		for _, sp := range sh.pushes {
-			n.routers[sp.nb].in[sp.v][sp.port].push(sp.p)
-			n.routers[sp.nb].occ++
+			n.routers[sp.nb].pushIn(int(sp.v), int(sp.port), sp.p)
 			// Boundary crossing: the phit left shard i's routers during
 			// the parallel phase and lands in its neighbour's now.
 			sr.netLoad[i]--

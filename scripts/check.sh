@@ -59,6 +59,14 @@ awk '$1 == "ok" && ($2 == "jmachine/internal/asm" || $2 == "jmachine/internal/co
     END { if (found < 2) { print "FAIL: coverage rows for internal/asm + internal/compiled missing"; exit 1 }
           exit bad }' /tmp/jm-cover.out
 
+echo "== perfbench tests"
+# The repository benchmark (perfbench/, BENCHMARK.json) is its own Go
+# module, so `./...` above never reaches it. Its tests run tiny
+# versions of every workload, traced ones through the benchmark-owned
+# machine.Stepper (Net.Quiet/SkipCycles/Step, PublishNetQuiet,
+# StepNodeRangeInfo): a change that breaks that seam fails here.
+(cd perfbench && go test ./...)
+
 echo "== chaos smoke"
 go build -o /tmp/jm-chaos-check ./cmd/jm-chaos
 SMOKE='-workload all -seed 11 -reliable -watchdog 100000'
