@@ -3,8 +3,10 @@ package jmachine_test
 // Golden behaviour pins: every workload the paper reports, at a quick
 // size, run on the sequential reference loop with library defaults,
 // must end in exactly these host-independent counters and machine
-// StateDigest. The table was recorded on the tree before the network's
-// occupied-port scan replaced the full seven-buffer scan; any change
+// StateDigest. The 64-node rows were recorded on the tree before the
+// network's occupied-port scan replaced the full seven-buffer scan, the
+// wider-mesh rows on the tree before the node phase's active-node set
+// replaced the all-nodes sweep; any change
 // to simulated behaviour — a reordered arbitration, a phit moved a
 // cycle early — shows up here as a counter or digest mismatch. Unlike
 // the engine's cross-configuration equivalence suite, these pins stay
@@ -92,6 +94,14 @@ var goldenRows = []goldenRow{
 		goldenOut{cycles: 7949, instrs: 77104, phitHops: 4590, delivered: 462, digest: 0x8b5e40dff0ae3d4c}},
 	{"tsp", 64, 11, network.FixedPriority, runTSP,
 		goldenOut{cycles: 15491, instrs: 305305, phitHops: 212735, delivered: 15733, digest: 0xfaf5702b36417ae2}},
+	// Meshes wider than one 64-node word: the node phase's multi-word
+	// walk and wake bookkeeping that crosses word boundaries.
+	{"nqueens", 256, 0, network.FixedPriority, runNQueens,
+		goldenOut{cycles: 7953, instrs: 77872, phitHops: 6930, delivered: 462, digest: 0xeafe31af7e641569}},
+	{"radix", 128, 11, network.FixedPriority, runRadix,
+		goldenOut{cycles: 44602, instrs: 2720492, phitHops: 943944, delivered: 87556, digest: 0x6ba033617e909e06}},
+	{"barrier", 512, 0, network.FixedPriority, runBarrier,
+		goldenOut{cycles: 3501, instrs: 956072, phitHops: 429360, delivered: 45984, digest: 0xc62c53e70052c883}},
 	// A seeded random campaign (link stall, corruption, freezes,
 	// squeezes) under the full resilience stack: checksum drops,
 	// duplicate filtering, reliable retransmission and injected link
