@@ -71,9 +71,12 @@ var paritySpecs = map[string]paritySpec{
 			"fast",       // stepping-mode switch (SetFastPath), digest-neutral
 			"pinned",     // derived from the registered hooks' horizons
 			"nParked",    // recomputed from parked on restore
+			"slabs",      // active-node set, rebuilt from parked/wakeAt/needWake
+			"slabOf",     // slab partition; set by New and engine attach/stop
 			"horizons",   // attached hook horizons; re-attached
 			"compiledOn", // compiled-tier attachment flag; re-attached (compiled.Attach)
 			"fuse",       // fusion fence, republished by every StepN; dead between runs
+
 			"hznValid", "hznSeq", "hznRetry", // send-horizon cache; invalidated by the wakeSeq bump on restore
 		},
 	},

@@ -150,6 +150,13 @@ func AttachCfg(m *machine.Machine, shards int, cfg Config) *Engine {
 	e.minWake = make([]int64, n)
 	e.isActive = make([]bool, n)
 	e.active = make([]int, 0, n)
+	// Each shard's node phase steps its own slab of the machine's
+	// active-node set, so no set word is shared between goroutines.
+	starts := make([]int, n)
+	for s := range starts {
+		starts[s], _ = e.sr.NodeRange(s)
+	}
+	m.SetNodeSlabs(starts)
 	for w := 1; w < n; w++ {
 		e.start[w] = make(chan struct{}, 1)
 		go e.worker(w)
@@ -190,6 +197,7 @@ func (e *Engine) Stop() {
 	}
 	e.stopped = true
 	e.m.SetStepper(nil)
+	e.m.SetNodeSlabs(nil)
 	e.sr.Close()
 	close(e.quit)
 }

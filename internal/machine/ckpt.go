@@ -140,11 +140,20 @@ func (m *Machine) RestoreState(d *wire.Decoder) error {
 			nParked++
 		}
 	}
-	m.nParked.Store(nParked)
-	m.wakeSeq++ // engine activity caches are stale for the restored state
 	if err := d.Err(); err != nil {
 		return err
 	}
+	for i := range m.parked {
+		// The capturing machine steps every cycle a parked node is due,
+		// so a wake at or before the checkpoint cycle is malformed.
+		if m.parked[i] && m.wakeAt[i] <= cycle {
+			return fmt.Errorf("machine: parked node %d wakes at cycle %d, not after checkpoint cycle %d",
+				i, m.wakeAt[i], cycle)
+		}
+	}
+	m.nParked.Store(nParked)
+	m.rebuildActive()
+	m.wakeSeq++ // engine activity caches are stale for the restored state
 	if err := m.Net.RestoreState(d); err != nil {
 		return err
 	}

@@ -7,9 +7,11 @@ package machine
 // mechanism at machine scale where individual parks are visible.
 
 import (
+	"strings"
 	"testing"
 
 	"jmachine/internal/asm"
+	"jmachine/internal/ckpt/wire"
 	"jmachine/internal/isa"
 	"jmachine/internal/word"
 )
@@ -198,5 +200,28 @@ func TestFastPathWatchdogTripsAtReferenceCycle(t *testing.T) {
 	}
 	if (refErr == nil) != (fastErr == nil) {
 		t.Errorf("errors diverged: %v vs %v", refErr, fastErr)
+	}
+}
+
+func TestRestoreRejectsLapsedWake(t *testing.T) {
+	// A parked node's wake always lies after the cycle a checkpoint
+	// records (the capturing machine steps every due cycle), and the
+	// active-node set files it in the timer wheel on that premise. A
+	// checkpoint breaking it is refused rather than left to wake late.
+	p := busyIdleProg(1)
+	src := MustNew(GridForNodes(8), p)
+	src.StepN(100) // every node idle and parked awaiting traffic
+	good := wire.Encoder{}
+	src.SaveState(&good)
+	if err := MustNew(GridForNodes(8), p).RestoreState(wire.NewDecoder(good.Bytes())); err != nil {
+		t.Fatalf("valid checkpoint refused: %v", err)
+	}
+	src.wakeAt[3] = src.Cycle()
+	src.rebuildActive()
+	bad := wire.Encoder{}
+	src.SaveState(&bad)
+	err := MustNew(GridForNodes(8), p).RestoreState(wire.NewDecoder(bad.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "node 3 wakes at cycle") {
+		t.Fatalf("lapsed wake restored: err = %v", err)
 	}
 }

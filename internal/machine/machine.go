@@ -8,6 +8,7 @@ package machine
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"jmachine/internal/asm"
@@ -124,6 +125,13 @@ type Machine struct {
 	caughtUpTo int64        // cycle through which lagging nodes must catch up (cycle-1 while stepping)
 	horizons   []func(now int64) int64
 
+	// Active-node set (active.go): per slab, a runnable bitset and a
+	// timer wheel of the parked nodes' wake cycles, derived from parked,
+	// wakeAt and needWake so the node phase visits only the nodes that
+	// can act. slabOf maps a node id to its slab.
+	slabs  []*slab
+	slabOf []int32
+
 	// wakeSeq is a generation counter bumped whenever node activity
 	// changes outside the stepping sweep itself — host injection, the
 	// per-node sync hook (chaos freeze/thaw/kill, reliable-delivery
@@ -210,6 +218,7 @@ func New(cfg Config, prog *asm.Program) (*Machine, error) {
 		parked:   make([]bool, nodes),
 		wakeAt:   make([]int64, nodes),
 		needWake: make([]bool, nodes),
+		slabOf:   make([]int32, nodes),
 	}
 	for i := 0; i < nodes; i++ {
 		m.Nodes[i] = mdp.NewNode(i, cfg.MDP,
@@ -225,16 +234,14 @@ func New(cfg Config, prog *asm.Program) (*Machine, error) {
 		m.Nodes[i].SetSyncHook(func() {
 			m.wakeSeq++
 			if m.parked[i] {
-				m.Nodes[i].SkipTo(m.caughtUpTo)
-				m.parked[i] = false
-				m.needWake[i] = false
-				m.nParked.Add(-1)
+				m.unpark(i)
 			}
 		})
 	}
+	m.SetNodeSlabs(nil)
 	// A word completing in a delivery queue is the one external event
 	// that can make an idle node runnable without any hook firing.
-	net.SetWakeFn(func(node int) { m.needWake[node] = true })
+	net.SetWakeFn(m.wake)
 	return m, nil
 }
 
@@ -472,9 +479,19 @@ func (m *Machine) Inject(node, pri int, msg []word.Word) bool {
 	}
 	// A parked node must notice host-delivered work exactly as it
 	// notices a mesh delivery.
-	m.needWake[node] = true
+	m.wake(node)
 	m.wakeSeq++
 	return true
+}
+
+// wake flags external work for node i (a delivered or host-injected
+// word): a parked node steps again on the next cycle its slab steps.
+func (m *Machine) wake(i int) {
+	if !m.needWake[i] {
+		m.needWake[i] = true
+		s, j := m.slabAt(i)
+		s.setRun(j)
+	}
 }
 
 // InjectFree returns how many words of room node i's priority-pri
@@ -528,75 +545,69 @@ func (m *Machine) stepOnce() {
 // maintaining the active set: a parked node is skipped until its wake
 // cycle (or an external wake flag) comes due, at which point it is
 // caught up in bulk and stepped; a node whose next event lies beyond
-// the next cycle is parked. Both the sequential loop and the parallel
+// the next cycle is parked. Only the runnable nodes are visited (see
+// active.go), in ascending id order. [lo, hi) must be a run of whole
+// node slabs (SetNodeSlabs). Both the sequential loop and the parallel
 // engine's processor phase use it — under the engine each shard calls
 // it for its own slab, so the bookkeeping for index i is only ever
 // touched by i's owning goroutine (nParked, the one shared counter, is
 // atomic).
-func (m *Machine) StepNodeRange(lo, hi int) { m.StepNodeRangeInfo(lo, hi) }
+func (m *Machine) StepNodeRange(lo, hi int) { m.stepNodes(m.slabsIn(lo, hi)) }
 
 // StepNodeRangeInfo is StepNodeRange returning an activity summary for
-// the range, computed in the same sweep: live is the number of nodes
-// left unparked, minWake the earliest wake cycle among the parked ones
-// (NoEvent when none is scheduled). The parallel engine caches these
-// per shard to decide which slabs the next cycle can skip.
+// the range: live is the number of nodes left unparked, minWake the
+// earliest wake cycle among the parked ones (NoEvent when none is
+// scheduled), read off the slabs' timer wheels. The parallel engine
+// caches these per shard to decide which slabs the next cycle can
+// skip.
 func (m *Machine) StepNodeRangeInfo(lo, hi int) (live int, minWake int64) {
-	fast := m.FastPathActive()
-	cycle := m.cycle
+	slabs := m.slabsIn(lo, hi)
+	live = m.stepNodes(slabs)
 	minWake = NoEvent
-	// Park/unpark deltas batch into one atomic update per call — the
-	// shared counter is only read between processor phases (advance,
-	// syncAll, unparkAll), never while a slab is mid-step.
-	parkDelta := int64(0)
-	for i := lo; i < hi; i++ {
-		if m.parked[i] {
-			if !m.needWake[i] && cycle < m.wakeAt[i] {
-				if m.wakeAt[i] < minWake {
-					minWake = m.wakeAt[i]
-				}
-				continue
-			}
-			m.Nodes[i].SkipTo(cycle - 1)
-			m.parked[i] = false
-			m.needWake[i] = false
-			parkDelta--
+	for _, s := range slabs {
+		if w := s.nextWake(m.wakeAt, m.cycle, false); w < minWake {
+			minWake = w
 		}
-		n := m.Nodes[i]
-		n.Step()
-		if fast {
-			if ne := n.NextEvent(); ne > cycle+1 {
-				m.parked[i] = true
-				m.wakeAt[i] = ne
-				m.needWake[i] = false
-				parkDelta++
-				if ne < minWake {
-					minWake = ne
-				}
-				continue
-			}
-		}
-		live++
-	}
-	if parkDelta != 0 {
-		m.nParked.Add(parkDelta)
 	}
 	return live, minWake
 }
 
-// NodeActivity summarizes nodes [lo, hi) without stepping anything:
-// live counts unparked nodes plus parked ones with a pending external
-// wake, minWake is the earliest scheduled wake among the rest (NoEvent
-// when none). Used by the engine to rebuild its per-shard activity
-// cache after an out-of-band change (WakeSeq moved).
+// stepNodes steps the given slabs' runnable nodes through the current
+// cycle and returns how many nodes it left unparked.
+func (m *Machine) stepNodes(slabs []*slab) (live int) {
+	fast := m.FastPathActive()
+	// Park/unpark deltas batch into one atomic update per call — the
+	// shared counter is only read between processor phases (advance,
+	// syncAll, unparkAll), never while a slab is mid-step.
+	parkDelta := int64(0)
+	for _, s := range slabs {
+		l, d := m.stepSlab(s, fast, m.cycle)
+		live += l
+		parkDelta += d
+	}
+	if parkDelta != 0 {
+		m.nParked.Add(parkDelta)
+	}
+	return live
+}
+
+// NodeActivity summarizes nodes [lo, hi), a run of whole node slabs,
+// without stepping anything: live counts unparked nodes plus parked
+// ones with a pending external wake, minWake is the earliest scheduled
+// wake among the rest (NoEvent when none). Both come from the slabs'
+// sets in O(words). Used by the engine to rebuild its per-shard
+// activity cache after an out-of-band change (WakeSeq moved).
 func (m *Machine) NodeActivity(lo, hi int) (live int, minWake int64) {
 	minWake = NoEvent
-	for i := lo; i < hi; i++ {
-		if !m.parked[i] || m.needWake[i] {
-			live++
-			continue
+	for _, s := range m.slabsIn(lo, hi) {
+		for _, w := range s.run {
+			live += bits.OnesCount64(w)
 		}
-		if m.wakeAt[i] < minWake {
-			minWake = m.wakeAt[i]
+		// caughtUpTo, not cycle: from inside a cycle's hooks and stepper
+		// the parked nodes are only known to wake after the last
+		// completed cycle.
+		if w := s.nextWake(m.wakeAt, m.caughtUpTo, true); w < minWake {
+			minWake = w
 		}
 	}
 	return live, minWake
@@ -641,11 +652,13 @@ func (m *Machine) skipTarget(limit int64) int64 {
 			t = hz - 1
 		}
 	}
-	for i := range m.parked {
-		if m.needWake[i] {
-			return m.cycle // pending external wake: step normally
+	for _, s := range m.slabs {
+		for _, w := range s.run {
+			if w != 0 {
+				return m.cycle // every node is parked: a pending external wake, step normally
+			}
 		}
-		if w := m.wakeAt[i]; w-1 < t {
+		if w := s.nextWake(m.wakeAt, m.cycle, false); w-1 < t {
 			t = w - 1
 		}
 	}
@@ -684,6 +697,7 @@ func (m *Machine) unparkAll() {
 		}
 	}
 	m.nParked.Store(0)
+	m.rebuildActive()
 	m.wakeSeq++
 }
 
