@@ -27,6 +27,7 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"jmachine/internal/serve"
 )
@@ -48,7 +49,16 @@ func main() {
 		log.Printf("recovered %d session(s) from %s", n, *dir)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: serve.NewHandler(g)}
+	// A client that never finishes its headers, or parks an idle
+	// keep-alive connection, is cut off. There is no WriteTimeout: a
+	// long simulation request or a timeline download is a slow write
+	// by design, and request bodies are size-capped by the handler.
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           serve.NewHandler(g),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	drained := make(chan struct{})
 	go func() {
 		ch := make(chan os.Signal, 1)

@@ -20,8 +20,7 @@ func NewHandler(g *Manager) http.Handler {
 	})
 	mux.HandleFunc("POST /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
 		var spec Spec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &spec) {
 			return
 		}
 		s, err := g.Create(spec)
@@ -42,7 +41,7 @@ func NewHandler(g *Manager) http.Handler {
 			}
 			return map[string]any{
 				"id": s.ID, "spec": s.Spec, "cycle": cycle,
-				"digest": fmt.Sprintf("%016x", digest),
+				"digest":    fmt.Sprintf("%016x", digest),
 				"quiescent": s.m.Quiescent(),
 			}, nil
 		})
@@ -58,8 +57,7 @@ func NewHandler(g *Manager) http.Handler {
 		var req struct {
 			Cycles int64 `json:"cycles"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		withSession(g, w, r, func(s *Session) (any, error) {
@@ -74,8 +72,7 @@ func NewHandler(g *Manager) http.Handler {
 		var req struct {
 			Budget int64 `json:"budget"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		withSession(g, w, r, func(s *Session) (any, error) {
@@ -90,8 +87,7 @@ func NewHandler(g *Manager) http.Handler {
 		var req struct {
 			Ops []KVOp `json:"ops"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		withSession(g, w, r, func(s *Session) (any, error) {
@@ -131,6 +127,27 @@ func NewHandler(g *Manager) http.Handler {
 		streamObsFile(g, w, r, (*Session).MetricsPath, "application/jsonl")
 	})
 	return mux
+}
+
+// MaxBodyBytes bounds every request body the API decodes; a larger
+// body is refused with 413 before it is read into memory.
+const MaxBodyBytes = 1 << 20
+
+// decodeBody decodes the JSON request body into v, reading at most
+// MaxBodyBytes. On failure it writes the error response — 413 for an
+// oversized body, 400 for malformed JSON — and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, code, err)
+	return false
 }
 
 // withSession acquires the session (restoring it if evicted), runs fn

@@ -209,3 +209,61 @@ func TestHTTPSessionDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestHTTPAdmissionLimits checks that oversized sessions are refused
+// with 400 before any machine is built, and that every endpoint that
+// decodes a body refuses one beyond MaxBodyBytes with 413.
+func TestHTTPAdmissionLimits(t *testing.T) {
+	g, err := NewManager(t.TempDir(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(g))
+	defer srv.Close()
+
+	for _, spec := range []Spec{
+		{Workload: "kv", Nodes: 2 * MaxNodes},
+		{Workload: "kv", Nodes: 8, Shards: MaxShards + 1},
+		{Workload: "kv", Nodes: 8, Budget: MaxBudget + 1},
+		{Workload: "jlang", Source: "x", Nodes: MaxNodes + 1},
+	} {
+		var body map[string]string
+		if code := call(t, srv, "POST", "/v1/sessions", spec, &body); code != http.StatusBadRequest {
+			t.Errorf("create %+v: code=%d, want 400", spec, code)
+		}
+		if !strings.Contains(body["error"], "exceeds the limit") {
+			t.Errorf("create %+v: error %q does not name the limit", spec, body["error"])
+		}
+	}
+	if n := len(g.List()); n != 0 {
+		t.Fatalf("%d sessions exist after refused creates", n)
+	}
+
+	var created struct {
+		ID string `json:"id"`
+	}
+	if code := call(t, srv, "POST", "/v1/sessions", Spec{Workload: "kv", Nodes: 8}, &created); code != http.StatusCreated {
+		t.Fatalf("create within limits: code=%d", code)
+	}
+	// A well-formed JSON body whose padding pushes it past the limit.
+	huge := `{"pad":"` + strings.Repeat("x", MaxBodyBytes) + `"}`
+	for _, path := range []string{
+		"/v1/sessions",
+		"/v1/sessions/" + created.ID + "/step",
+		"/v1/sessions/" + created.ID + "/run",
+		"/v1/sessions/" + created.ID + "/kv",
+	} {
+		resp, err := srv.Client().Post(srv.URL+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: code=%d, want 413", path, len(huge), resp.StatusCode)
+		}
+	}
+	var body map[string]any
+	if code := call(t, srv, "POST", "/v1/sessions/"+created.ID+"/step", map[string]int{"cycles": 10}, &body); code != http.StatusOK {
+		t.Errorf("step after refused bodies: code=%d body=%v", code, body)
+	}
+}

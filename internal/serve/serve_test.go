@@ -34,6 +34,19 @@ func TestSpecNormalize(t *testing.T) {
 	if s.Keys == 0 || s.Gateways == 0 || s.Budget == 0 {
 		t.Errorf("defaults not filled: %+v", s)
 	}
+	atCap := Spec{Workload: "kv", Nodes: MaxNodes, Shards: MaxShards, Budget: MaxBudget}
+	if _, err := atCap.Normalize(); err != nil {
+		t.Errorf("spec at every limit refused: %v", err)
+	}
+	for _, over := range []Spec{
+		{Workload: "kv", Nodes: 2 * MaxNodes},
+		{Workload: "kv", Shards: MaxShards + 1},
+		{Workload: "kv", Budget: MaxBudget + 1},
+	} {
+		if _, err := over.Normalize(); err == nil {
+			t.Errorf("spec over a limit accepted: %+v", over)
+		}
+	}
 }
 
 func TestKVSessionServesOps(t *testing.T) {

@@ -73,6 +73,17 @@ type Spec struct {
 // DefaultBudget is the per-request cycle budget when Spec.Budget is 0.
 const DefaultBudget = 4_000_000
 
+// Admission limits: a create request asking for more is rejected, so
+// one client cannot make the daemon build a machine that exhausts its
+// memory, start a goroutine per node, or hold a session lock for an
+// unbounded run. Each node costs about 9 KB, so MaxNodes bounds a
+// session's machine near 40 MB.
+const (
+	MaxNodes  = 4096
+	MaxShards = 64
+	MaxBudget = 64 * DefaultBudget
+)
+
 // Normalize fills defaults and validates, returning the effective spec.
 func (s Spec) Normalize() (Spec, error) {
 	if s.Nodes <= 0 {
@@ -80,6 +91,14 @@ func (s Spec) Normalize() (Spec, error) {
 	}
 	if s.Budget <= 0 {
 		s.Budget = DefaultBudget
+	}
+	switch {
+	case s.Nodes > MaxNodes:
+		return s, fmt.Errorf("nodes %d exceeds the limit %d", s.Nodes, MaxNodes)
+	case s.Shards > MaxShards:
+		return s, fmt.Errorf("shards %d exceeds the limit %d", s.Shards, MaxShards)
+	case s.Budget > MaxBudget:
+		return s, fmt.Errorf("budget %d exceeds the limit %d", s.Budget, MaxBudget)
 	}
 	switch s.Workload {
 	case "kv":
