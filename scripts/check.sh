@@ -59,6 +59,17 @@ awk '$1 == "ok" && ($2 == "jmachine/internal/asm" || $2 == "jmachine/internal/co
     END { if (found < 2) { print "FAIL: coverage rows for internal/asm + internal/compiled missing"; exit 1 }
           exit bad }' /tmp/jm-cover.out
 
+echo "== fuzzers (time-boxed)"
+# The fuzz targets' seed corpora run in every `go test` above; this
+# step also mutates them for a bounded time. FuzzRestore feeds hostile
+# checkpoints through every layer's restore path (including the
+# machine's active-node set rebuild); FuzzCompiledVsInterpreter
+# cross-checks the compiled tier against the interpreter on generated
+# programs. A crasher is written under the package's testdata/fuzz/
+# and fails this step; commit it as a corpus entry with the fix.
+go test -run '^$' -fuzz '^FuzzRestore$' -fuzztime 15s ./internal/ckpt
+go test -run '^$' -fuzz '^FuzzCompiledVsInterpreter$' -fuzztime 15s ./internal/compiled
+
 echo "== perfbench tests"
 # The repository benchmark (perfbench/, BENCHMARK.json) is its own Go
 # module, so `./...` above never reaches it. Its tests run tiny
