@@ -30,17 +30,21 @@ const wheelSlots = 64
 // stands for node lo+j.
 type slab struct {
 	lo, hi int
-	nw     int               // words per bitset
 	run    []uint64          // runnable nodes
-	wheel  []uint64          // bucket b is words [b*nw, (b+1)*nw)
+	wheel  []uint64          // the buckets' bitsets, one after another
 	cnt    [wheelSlots]int32 // entries per bucket
 	busy   uint64            // bit b set iff cnt[b] > 0
 }
 
 func newSlab(lo, hi int) *slab {
 	nw := (hi - lo + 63) / 64
-	return &slab{lo: lo, hi: hi, nw: nw,
-		run: make([]uint64, nw), wheel: make([]uint64, wheelSlots*nw)}
+	return &slab{lo: lo, hi: hi, run: make([]uint64, nw), wheel: make([]uint64, wheelSlots*nw)}
+}
+
+// bucket returns wheel bucket b's bitset.
+func (s *slab) bucket(b int) []uint64 {
+	nw := len(s.run)
+	return s.wheel[b*nw : (b+1)*nw]
 }
 
 func (s *slab) setRun(j int) { s.run[j>>6] |= 1 << uint(j&63) }
@@ -48,7 +52,7 @@ func (s *slab) setRun(j int) { s.run[j>>6] |= 1 << uint(j&63) }
 // addWheel files node lo+j, parked until cycle at, in bucket at mod 64.
 func (s *slab) addWheel(j int, at int64) {
 	b := int(at & (wheelSlots - 1))
-	s.wheel[b*s.nw+j>>6] |= 1 << uint(j&63)
+	s.bucket(b)[j>>6] |= 1 << uint(j&63)
 	s.cnt[b]++
 	s.busy |= 1 << uint(b)
 }
@@ -57,7 +61,7 @@ func (s *slab) addWheel(j int, at int64) {
 // the wheel (a node released as due is already out).
 func (s *slab) dropWheel(j int, at int64) {
 	b := int(at & (wheelSlots - 1))
-	w := &s.wheel[b*s.nw+j>>6]
+	w := &s.bucket(b)[j>>6]
 	bit := uint64(1) << uint(j&63)
 	if *w&bit == 0 {
 		return
@@ -72,7 +76,7 @@ func (s *slab) dropWheel(j int, at int64) {
 // cycle into the runnable set.
 func (s *slab) release(wakeAt []int64, cycle int64) {
 	b := int(cycle & (wheelSlots - 1))
-	bucket := s.wheel[b*s.nw : (b+1)*s.nw]
+	bucket := s.bucket(b)
 	for w, word := range bucket {
 		for word != 0 {
 			k := uint(bits.TrailingZeros64(word))
@@ -102,7 +106,7 @@ func (s *slab) nextWake(wakeAt []int64, cycle int64, idleOnly bool) int64 {
 	for busy := bits.RotateLeft64(s.busy, -start); busy != 0; busy &= busy - 1 {
 		k := bits.TrailingZeros64(busy)
 		b := (start + k) & (wheelSlots - 1)
-		for w, word := range s.wheel[b*s.nw : (b+1)*s.nw] {
+		for w, word := range s.bucket(b) {
 			if idleOnly {
 				word &^= s.run[w]
 			}

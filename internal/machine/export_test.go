@@ -21,13 +21,13 @@ func (m *Machine) ActiveSetErr() error {
 		}
 		next = s.hi
 		var cnt [wheelSlots]int32
-		bucketOf := make([]int, s.nw*64)
+		bucketOf := make([]int, len(s.run)*64)
 		for j := range bucketOf {
 			bucketOf[j] = -1
 		}
 		for b := 0; b < wheelSlots; b++ {
-			for w := 0; w < s.nw; w++ {
-				for word := s.wheel[b*s.nw+w]; word != 0; word &= word - 1 {
+			for w, word := range s.bucket(b) {
+				for ; word != 0; word &= word - 1 {
 					j := w<<6 | bits.TrailingZeros64(word)
 					if bucketOf[j] >= 0 {
 						return fmt.Errorf("node %d is in wheel buckets %d and %d", s.lo+j, bucketOf[j], b)
@@ -37,7 +37,7 @@ func (m *Machine) ActiveSetErr() error {
 				}
 			}
 		}
-		for j := 0; j < s.nw*64; j++ {
+		for j := range bucketOf {
 			i := s.lo + j
 			run := s.run[j>>6]&(1<<uint(j&63)) != 0
 			bucket := bucketOf[j]

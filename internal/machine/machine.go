@@ -547,11 +547,11 @@ func (m *Machine) stepOnce() {
 // caught up in bulk and stepped; a node whose next event lies beyond
 // the next cycle is parked. Only the runnable nodes are visited (see
 // active.go), in ascending id order. [lo, hi) must be a run of whole
-// node slabs (SetNodeSlabs). Both the sequential loop and the parallel
-// engine's processor phase use it — under the engine each shard calls
-// it for its own slab, so the bookkeeping for index i is only ever
-// touched by i's owning goroutine (nParked, the one shared counter, is
-// atomic).
+// node slabs (SetNodeSlabs). The sequential loop steps every node with
+// it; the parallel engine's processor phase uses StepNodeRangeInfo,
+// each shard for its own slab, so the bookkeeping for index i is only
+// ever touched by i's owning goroutine (nParked, the one shared
+// counter, is atomic).
 func (m *Machine) StepNodeRange(lo, hi int) { m.stepNodes(m.slabsIn(lo, hi)) }
 
 // StepNodeRangeInfo is StepNodeRange returning an activity summary for
